@@ -11,12 +11,12 @@ execution") for the model and its accuracy contract.
 """
 
 from repro.shard.region import Region, RegionBus, ShardMap
-from repro.shard.runner import run_sharded, shards_from_env
+from repro.shard.runner import ShardWorkerError, run_sharded
 
 __all__ = [
     "Region",
     "RegionBus",
     "ShardMap",
+    "ShardWorkerError",
     "run_sharded",
-    "shards_from_env",
 ]

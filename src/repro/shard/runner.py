@@ -28,7 +28,6 @@ this is bit-for-bit identical to :meth:`Network.run`.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 from typing import Dict, List, Optional, Tuple
@@ -49,22 +48,18 @@ WINDOW_MIN_S = 0.1
 WINDOW_MAX_S = 0.5
 
 
-def shards_from_env() -> Optional[int]:
-    """Shard count requested via the environment, or None.
+class ShardWorkerError(RuntimeError):
+    """A region's worker process failed before finishing its part of
+    the window protocol.  ``region`` is the region index and
+    ``exitcode`` the worker's exit code (None if it is still alive);
+    the underlying pipe error, if any, is the ``__cause__``."""
 
-    ``ECGRID_SHARDS=N`` (N >= 2) opts a process into sharded runs;
-    ``ECGRID_NO_SHARDS`` (any value but ``0``/empty) is the kill
-    switch and wins over everything.
-    """
-    kill = os.environ.get("ECGRID_NO_SHARDS", "")
-    if kill and kill != "0":
-        return None
-    raw = os.environ.get("ECGRID_SHARDS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n >= 2 else None
+    def __init__(self, region: int, exitcode: Optional[int], detail: str) -> None:
+        super().__init__(
+            f"shard worker for region {region} {detail} (exit code {exitcode})"
+        )
+        self.region = region
+        self.exitcode = exitcode
 
 
 def resolve_window(config: ExperimentConfig, window_s: Optional[float]) -> float:
@@ -155,6 +150,23 @@ def _worker_main(conn, cfg_dict, index: int, n_shards: int, window_s: float):
         conn.close()
 
 
+def _await_ready(index: int, conn, proc) -> None:
+    """Handshake: block until region ``index``'s worker has built its
+    region.  A worker that died first closes its pipe end, so the
+    ``EOFError`` is re-raised as a typed error naming the region."""
+    try:
+        msg = conn.recv()
+    except EOFError as exc:
+        proc.join(timeout=30)
+        raise ShardWorkerError(
+            index, proc.exitcode, "exited before the handshake"
+        ) from exc
+    if msg != "ready":
+        raise ShardWorkerError(
+            index, proc.exitcode, f"sent {msg!r} instead of 'ready'"
+        )
+
+
 def _run_multiprocess(
     config: ExperimentConfig, shard_map: ShardMap, window_s: float
 ) -> Tuple[List[RegionReport], float]:
@@ -174,8 +186,8 @@ def _run_multiprocess(
             child.close()
             pipes.append(parent)
             procs.append(proc)
-        for conn in pipes:
-            assert conn.recv() == "ready"
+        for i, (conn, proc) in enumerate(zip(pipes, procs)):
+            _await_ready(i, conn, proc)
         t0 = time.perf_counter()
         for conn in pipes:
             conn.send("go")

@@ -2,8 +2,8 @@
 
 The cache is only allowed to be a *performance* structure: under any
 interleaving of mobility, register/unregister churn and sleep/wake
-flips, the cached answer must equal the plain bucket scan (the same
-code the ``ECGRID_NO_NEAR_CACHE`` kill switch runs), and the
+flips, the cached answer must equal the plain bucket scan (the
+cold-key path), and the
 awake/sleeper partition inside hot snapshots must match the radios'
 live base modes (the partition is rebuilt via per-cell invalidation
 rather than read live, so a missing invalidation hook would surface
@@ -60,7 +60,7 @@ def assert_partition_consistent(medium, cell):
     snap = medium._near_snapshot(cell, medium.config.range_m)
     if snap is None:
         return
-    for _x0, _y0, _x1, _y1, all_radios, awake, sleepers, count, _ai, _si in snap:
+    for _x0, _y0, _x1, _y1, all_radios, awake, sleepers, count in snap:
         assert list(awake) == [
             r for r in all_radios if r.base_mode is RadioMode.IDLE
         ]
@@ -113,9 +113,12 @@ def test_radios_near_matches_scan_under_churn():
 
 
 def _run_script(cache_enabled):
-    """One fixed transmission/churn script; returns observable outcomes."""
+    """One fixed transmission/churn script; returns observable outcomes.
+    ``cache_enabled=False`` pins every query to the cold-key scan by
+    stubbing the snapshot lookup out."""
     sim, medium, radios = build_world(40, seed=13, moving=True)
-    medium._near_cache_enabled = cache_enabled
+    if not cache_enabled:
+        medium._near_snapshot = lambda cell, radius: None
     rng = random.Random(4242)
     inboxes = {r.node_id: [] for r in radios}
     for r in radios:
@@ -185,7 +188,7 @@ def test_channel_busy_probe_matches_full_scan():
             for tx in medium._active
         )
         assert medium.channel_busy(radio) == expect
-        # The plain-scan fallback (kill-switch path) agrees too.
-        medium._tx_index_enabled = False
+        # The plain-scan path (light load) agrees too.
+        medium.TX_SCAN_CUTOFF = len(medium._active)
         assert medium.channel_busy(radio) == expect
-        medium._tx_index_enabled = True
+        medium.TX_SCAN_CUTOFF = 0

